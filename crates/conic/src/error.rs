@@ -21,11 +21,6 @@ pub enum ConicError {
     },
     /// The problem data contains NaN or infinite entries.
     NonFiniteData,
-    /// The KKT system could not be factorised even after regularisation.
-    KktFactorisation {
-        /// Iteration at which the failure occurred.
-        iteration: usize,
-    },
     /// The iterates left the cone or became non-finite.
     NumericalBreakdown {
         /// Iteration at which the failure occurred.
@@ -51,9 +46,6 @@ impl fmt::Display for ConicError {
                 "dimension mismatch: G is {rows}x{cols}, |c|={c_len}, |h|={h_len}, cone dim {cone_dim}"
             ),
             ConicError::NonFiniteData => write!(f, "problem data contains non-finite values"),
-            ConicError::KktFactorisation { iteration } => {
-                write!(f, "KKT factorisation failed at iteration {iteration}")
-            }
             ConicError::NumericalBreakdown { iteration, detail } => {
                 write!(f, "numerical breakdown at iteration {iteration}: {detail}")
             }
@@ -117,9 +109,6 @@ mod tests {
             assert!(msg.contains(token));
         }
         assert!(!ConicError::NonFiniteData.to_string().is_empty());
-        assert!(ConicError::KktFactorisation { iteration: 7 }
-            .to_string()
-            .contains('7'));
         assert!(ConicError::NumericalBreakdown {
             iteration: 3,
             detail: "cone exit".into()

@@ -3,8 +3,7 @@
 //!
 //! The implementation follows the classic Nesterov–Todd scaled
 //! path-following scheme with a Mehrotra predictor–corrector, as popularised
-//! by CVXOPT and ECOS, specialised to dense problems without equality
-//! constraints:
+//! by CVXOPT and ECOS, for problems without equality constraints:
 //!
 //! ```text
 //! minimise    cᵀx
@@ -12,16 +11,18 @@
 //! ```
 //!
 //! with `K` a product of a nonnegative orthant and second-order cones. Every
-//! iteration solves a dense normal-equation system `Gᵀ W⁻² G Δx = r` by
-//! Cholesky factorisation, which is appropriate for the small, dense
-//! formulations produced by the budget/buffer mapping problem (tens of
-//! variables and at most a few hundred rows).
+//! iteration solves the augmented KKT system `[0 Gᵀ; G −W²]` in its sparse
+//! quasi-definite form (see [`crate::kkt`]): `G` is stored by rows, `W²` is
+//! block diagonal, and the sparse LDLᵀ factorisation reuses one ordering and
+//! symbolic analysis for the whole solve. The initial point solves the same
+//! system with `W = I`, so the method has a single factorisation routine.
 
 use crate::cone::Cone;
 use crate::error::{ConicError, SolveStatus};
+use crate::kkt::KktSystem;
 use crate::problem::ConeProblem;
 use crate::scaling::NtScaling;
-use bbs_linalg::{Cholesky, DMatrix, DVector, Ldlt};
+use bbs_linalg::DVector;
 use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the interior-point method.
@@ -38,7 +39,8 @@ pub struct IpmSettings {
     /// Threshold for declaring primal/dual infeasibility from the
     /// (normalised) certificate residuals.
     pub tol_infeasibility: f64,
-    /// Static regularisation added to the normal-equation diagonal.
+    /// Static regularisation `δ` of the KKT system, relative to
+    /// `1 + max |Gᵢⱼ|`: the factored matrix is `[δI Gᵀ; G −W²−δI]`.
     pub regularization: f64,
     /// Fraction of the maximum step to the cone boundary actually taken.
     pub step_fraction: f64,
@@ -89,6 +91,49 @@ pub struct IterationRecord {
     pub step: f64,
 }
 
+/// Why the interior-point method stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ExitReason {
+    /// The problem has no conic rows; nothing to iterate on.
+    NoConstraints,
+    /// Residuals and gap met the requested tolerances.
+    Converged,
+    /// The Nesterov–Todd scaling became uncomputable (an iterate reached
+    /// the cone boundary in floating point) while the residuals and gap
+    /// met the tolerances loosened 10³×; reported as
+    /// [`SolveStatus::Optimal`].
+    ScalingLimitLoose,
+    /// The Nesterov–Todd scaling became uncomputable and the loosened
+    /// tolerances were not met; reported as
+    /// [`SolveStatus::MaxIterations`].
+    ScalingLimit,
+    /// A primal infeasibility certificate was found.
+    PrimalCertificate,
+    /// A dual infeasibility (unboundedness) certificate was found.
+    DualCertificate,
+    /// The iteration limit was reached.
+    IterationLimit,
+}
+
+/// Deterministic work counters of one solve. They depend only on the
+/// problem and the settings, never on timing, so two solves of the same
+/// problem report identical counters. They are diagnostics: nothing here
+/// enters a suite report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SolveCounters {
+    /// Numeric KKT factorisations, the initial point's included.
+    pub factorizations: usize,
+    /// Pivots replaced by the dynamic regularisation, over all
+    /// factorisations.
+    pub pivot_bumps: usize,
+    /// Stored entries of the KKT matrix's upper triangle.
+    pub kkt_nnz: usize,
+    /// Stored (strictly lower) entries of its factor `L`.
+    pub factor_nnz: usize,
+    /// Why the method stopped.
+    pub exit: ExitReason,
+}
+
 /// Raw output of [`solve_cone_problem`].
 #[derive(Debug, Clone)]
 pub struct RawSolution {
@@ -114,6 +159,8 @@ pub struct RawSolution {
     pub dual_residual: f64,
     /// Optional per-iteration trace (when requested in the settings).
     pub trace: Vec<IterationRecord>,
+    /// Work counters and the exit reason.
+    pub counters: SolveCounters,
 }
 
 impl RawSolution {
@@ -127,10 +174,10 @@ impl RawSolution {
 ///
 /// # Errors
 ///
-/// Returns [`ConicError`] when the problem data is inconsistent, when the
-/// KKT systems cannot be factorised, or when the iterates break down
-/// numerically. Infeasibility is *not* an error: it is reported through
-/// [`SolveStatus::PrimalInfeasible`] / [`SolveStatus::DualInfeasible`].
+/// Returns [`ConicError`] when the problem data is inconsistent or when the
+/// iterates break down numerically. Infeasibility is *not* an error: it is
+/// reported through [`SolveStatus::PrimalInfeasible`] /
+/// [`SolveStatus::DualInfeasible`].
 pub fn solve_cone_problem(
     problem: &ConeProblem,
     settings: &IpmSettings,
@@ -154,6 +201,13 @@ pub fn solve_cone_problem(
                 primal_residual: 0.0,
                 dual_residual: 0.0,
                 trace: Vec::new(),
+                counters: SolveCounters {
+                    factorizations: 0,
+                    pivot_bumps: 0,
+                    kkt_nnz: 0,
+                    factor_nnz: 0,
+                    exit: ExitReason::NoConstraints,
+                },
             });
         }
         return Err(ConicError::Unbounded);
@@ -164,31 +218,26 @@ pub fn solve_cone_problem(
     let c = &problem.c;
     let degree = cone.degree().max(1) as f64;
     let e = cone.identity();
+    let delta = settings.regularization * (1.0 + g.norm_inf());
+    let mut kkt = KktSystem::new(problem, delta);
 
-    // --- Initialisation (CVXOPT-style least-squares start) -----------------
-    let mut x;
-    let mut s;
-    let mut z;
-    {
-        let mut gtg = g.transpose().matmul(g);
-        let reg = settings.regularization.max(1e-12) * (1.0 + gtg.norm_inf());
-        gtg.add_diagonal(reg);
-        let chol =
-            Cholesky::factor(&gtg).map_err(|_| ConicError::KktFactorisation { iteration: 0 })?;
-        // Primal: x ≈ argmin ‖Gx − h‖, s = h − Gx shifted into the cone.
-        x = chol.solve(&g.matvec_transpose(h));
-        let s_cand = h - &g.matvec(&x);
-        s = shift_into_cone(cone, s_cand, &e);
-        // Dual: z = −G (GᵀG)⁻¹ c satisfies Gᵀz + c ≈ 0, then shift into cone.
-        let w = chol.solve(c);
-        let z_cand = -&g.matvec(&w);
-        z = shift_into_cone(cone, z_cand, &e);
-    }
+    // --- Initialisation (CVXOPT coneqp: the KKT system with W = I) ---------
+    // Primal: [0 Gᵀ; G −I] [x; ·] = [0; h] makes x the least-squares
+    // solution of Gx ≈ h; s = h − Gx is then shifted into the cone.
+    // Dual: [0 Gᵀ; G −I] [·; z] = [−c; 0] gives z = −G(GᵀG)⁻¹c, so that
+    // Gᵀz + c ≈ 0, shifted into the cone likewise.
+    kkt.factor(None);
+    let (x_ls, _) = kkt.solve(&vec![0.0; n], h.as_slice());
+    let mut x = DVector::from_vec(x_ls);
+    let mut s = shift_into_cone(cone, h - &g.matvec(&x), &e);
+    let (_, z_ls) = kkt.solve((-c).as_slice(), &vec![0.0; m]);
+    let mut z = shift_into_cone(cone, DVector::from_vec(z_ls), &e);
 
     let h_norm = h.norm2().max(1.0);
     let c_norm = c.norm2().max(1.0);
     let mut trace = Vec::new();
     let mut best_status = SolveStatus::MaxIterations;
+    let mut exit = ExitReason::IterationLimit;
     let mut iterations_done = settings.max_iterations;
 
     for iteration in 0..settings.max_iterations {
@@ -217,6 +266,7 @@ pub fn solve_cone_problem(
             && (gap <= settings.tol_gap_absolute || relgap <= settings.tol_gap_relative)
         {
             best_status = SolveStatus::Optimal;
+            exit = ExitReason::Converged;
             iterations_done = iteration;
             break;
         }
@@ -227,6 +277,7 @@ pub fn solve_cone_problem(
             let cert = g.matvec_transpose(&z).norm2() / (-hz);
             if cert <= settings.tol_infeasibility && cone.contains(&z, 1e-9) {
                 best_status = SolveStatus::PrimalInfeasible;
+                exit = ExitReason::PrimalCertificate;
                 iterations_done = iteration;
                 break;
             }
@@ -236,6 +287,7 @@ pub fn solve_cone_problem(
             let cert = (&g.matvec(&x) + &s).norm2() / (-cx);
             if cert <= settings.tol_infeasibility && cone.contains(&s, 1e-9) {
                 best_status = SolveStatus::DualInfeasible;
+                exit = ExitReason::DualCertificate;
                 iterations_done = iteration;
                 break;
             }
@@ -249,14 +301,14 @@ pub fn solve_cone_problem(
             Some(w) => w,
             None => {
                 let loose = 1e3;
-                best_status = if pres <= loose * settings.tol_feasibility
+                (best_status, exit) = if pres <= loose * settings.tol_feasibility
                     && dres <= loose * settings.tol_feasibility
                     && (gap <= loose * settings.tol_gap_absolute
                         || relgap <= loose * settings.tol_gap_relative)
                 {
-                    SolveStatus::Optimal
+                    (SolveStatus::Optimal, ExitReason::ScalingLimitLoose)
                 } else {
-                    SolveStatus::MaxIterations
+                    (SolveStatus::MaxIterations, ExitReason::ScalingLimit)
                 };
                 iterations_done = iteration;
                 break;
@@ -264,81 +316,27 @@ pub fn solve_cone_problem(
         };
         let lambda = scaling.lambda(&z);
 
-        // Assemble the augmented (quasi-definite) KKT matrix
-        //   [ δI    Gᵀ      ]
-        //   [ G   −W² − δI ]
-        // and factor it with LDLᵀ. Solving the augmented system instead of
-        // the normal equations avoids squaring the condition number of the
-        // scaled constraint matrix, which matters once bounds become active
-        // and the slacks span many orders of magnitude.
-        let w_squared = scaling.w_squared();
-        let dim = n + m;
-        let mut kkt_exact = DMatrix::zeros(dim, dim);
-        for r in 0..m {
-            for c_col in 0..n {
-                let v = g[(r, c_col)];
-                kkt_exact[(n + r, c_col)] = v;
-                kkt_exact[(c_col, n + r)] = v;
-            }
-            for c_col in 0..m {
-                kkt_exact[(n + r, n + c_col)] = -w_squared[(r, c_col)];
-            }
-        }
-        let delta = settings.regularization * (1.0 + g.norm_inf());
-        let mut kkt_regularised = kkt_exact.clone();
-        for i in 0..n {
-            kkt_regularised[(i, i)] += delta;
-        }
-        for i in 0..m {
-            kkt_regularised[(n + i, n + i)] -= delta;
-        }
-        let ldlt = match Ldlt::factor(&kkt_regularised) {
-            Ok(f) => f,
-            Err(_) => {
-                let bump = 1e-7 * (1.0 + kkt_exact.norm_inf());
-                let mut heavier = kkt_exact.clone();
-                for i in 0..n {
-                    heavier[(i, i)] += bump;
-                }
-                for i in 0..m {
-                    heavier[(n + i, n + i)] -= bump;
-                }
-                Ldlt::factor(&heavier).map_err(|_| ConicError::KktFactorisation { iteration })?
-            }
-        };
-        // Solve the *exact* KKT system using the regularised factorisation as
-        // a preconditioner, with a few steps of iterative refinement.
-        let refine_solve = |rhs: &DVector| -> DVector {
-            let mut sol = ldlt.solve(rhs);
-            for _ in 0..3 {
-                let residual = rhs - &kkt_exact.matvec(&sol);
-                sol += &ldlt.solve(&residual);
-            }
-            sol
-        };
-
-        let kkt = |bs: &DVector, rx: &DVector, rz: &DVector| -> (DVector, DVector, DVector) {
+        // Solving the augmented system instead of the normal equations
+        // avoids squaring the condition number of the scaled constraint
+        // matrix, which matters once bounds become active and the slacks
+        // span many orders of magnitude.
+        kkt.factor(Some(&scaling));
+        let rx_neg = -&rx;
+        let direction = |bs: &DVector| -> (DVector, DVector, DVector) {
             // [ 0  Gᵀ ] [Δx]   [ −rx        ]
             // [ G −W² ] [Δz] = [ −rz − W bs ]
             let w_bs = scaling.apply(bs);
-            let mut rhs = DVector::zeros(dim);
-            for i in 0..n {
-                rhs[i] = -rx[i];
-            }
-            for i in 0..m {
-                rhs[n + i] = -rz[i] - w_bs[i];
-            }
-            let sol = refine_solve(&rhs);
-            let dx = DVector::from_vec(sol.as_slice()[..n].to_vec());
-            let dz = DVector::from_vec(sol.as_slice()[n..].to_vec());
+            let rhs_z: Vec<f64> = rz.iter().zip(w_bs.iter()).map(|(r, w)| -r - w).collect();
+            let (dx, dz) = kkt.solve(rx_neg.as_slice(), &rhs_z);
+            let dx = DVector::from_vec(dx);
             // Δs = −rz − G Δx  (exactly satisfies the primal equation)
-            let ds = -&(&g.matvec(&dx) + rz);
-            (dx, ds, dz)
+            let ds = -&(&g.matvec(&dx) + &rz);
+            (dx, ds, DVector::from_vec(dz))
         };
 
         // Predictor (affine-scaling) direction: bs = λ \ (−λ∘λ) = −λ.
         let bs_aff = -&lambda;
-        let (_dx_aff, ds_aff, dz_aff) = kkt(&bs_aff, &rx, &rz);
+        let (_dx_aff, ds_aff, dz_aff) = direction(&bs_aff);
         let alpha_aff = cone
             .max_step(&s, &ds_aff, 1.0)
             .min(cone.max_step(&z, &dz_aff, 1.0))
@@ -362,7 +360,7 @@ pub fn solve_cone_problem(
         rhs_comp -= &correction;
         rhs_comp.axpy(sigma * gap, &e);
         let bs = cone.jordan_solve(&lambda, &rhs_comp);
-        let (dx, ds, dz) = kkt(&bs, &rx, &rz);
+        let (dx, ds, dz) = direction(&bs);
 
         let alpha = (settings.step_fraction
             * cone
@@ -399,6 +397,13 @@ pub fn solve_cone_problem(
         status: best_status,
         iterations: iterations_done,
         trace,
+        counters: SolveCounters {
+            factorizations: kkt.factorizations,
+            pivot_bumps: kkt.pivot_bumps,
+            kkt_nnz: kkt.nnz(),
+            factor_nnz: kkt.factor_nnz(),
+            exit,
+        },
     })
 }
 
@@ -539,10 +544,10 @@ mod tests {
 
     #[test]
     fn empty_constraint_set() {
-        use bbs_linalg::{DMatrix, DVector};
+        use bbs_linalg::{CsrMatrix, DVector};
         let p = ConeProblem {
             c: DVector::zeros(2),
-            g: DMatrix::zeros(0, 2),
+            g: CsrMatrix::zeros(0, 2),
             h: DVector::zeros(0),
             cone: Cone::new(vec![]),
         };
@@ -550,7 +555,7 @@ mod tests {
         assert!(sol.is_optimal());
         let p_unbounded = ConeProblem {
             c: DVector::from_slice(&[1.0, 0.0]),
-            g: DMatrix::zeros(0, 2),
+            g: CsrMatrix::zeros(0, 2),
             h: DVector::zeros(0),
             cone: Cone::new(vec![]),
         };
@@ -600,6 +605,60 @@ mod tests {
         assert!(raw.gap < 1e-6);
         assert!(raw.primal_residual < 1e-6);
         assert!(raw.dual_residual < 1e-6);
+    }
+
+    #[test]
+    fn work_counters_repeat_exactly_across_solves() {
+        // A mixed LP/SOCP: the counters must be a function of the problem.
+        let mut m = ModelBuilder::new();
+        let x = m.add_var_with_cost("x", 1.0);
+        let y = m.add_var_with_cost("y", 1.0);
+        let z = m.add_var_with_cost("z", 0.5);
+        m.bound_lower(x, 1e-6);
+        m.bound_lower(y, 1e-6);
+        m.bound_upper(y, 3.0);
+        m.add_le(LinExpr::term(1.0, x).plus(1.0, z), 10.0);
+        m.add_hyperbolic(x, y, 9.0);
+        m.add_hyperbolic(z, y, 2.0);
+        let model = m.build().unwrap();
+        let first = solve_cone_problem(model.problem(), &default_settings()).unwrap();
+        let second = solve_cone_problem(model.problem(), &default_settings()).unwrap();
+        assert_eq!(first.counters, second.counters);
+        assert_eq!(first.counters.exit, ExitReason::Converged);
+        // One factorisation for the initial point, one per iteration.
+        assert_eq!(first.counters.factorizations, first.iterations + 1);
+        assert!(first.counters.kkt_nnz > 0);
+        assert!(first.counters.factor_nnz <= 2 * first.counters.kkt_nnz);
+        assert_eq!(first.x, second.x);
+    }
+
+    #[test]
+    fn exit_reasons_follow_the_status() {
+        let mut m = ModelBuilder::new();
+        let x = m.add_var_with_cost("x", 1.0);
+        m.bound_lower(x, 3.0);
+        m.bound_upper(x, 1.0);
+        let sol = m.build().unwrap().solve(&default_settings()).unwrap();
+        assert_eq!(sol.raw().counters.exit, ExitReason::PrimalCertificate);
+
+        let mut m = ModelBuilder::new();
+        let x = m.add_var_with_cost("x", -1.0);
+        m.bound_lower(x, 0.0);
+        let sol = m.build().unwrap().solve(&default_settings()).unwrap();
+        assert_eq!(sol.raw().counters.exit, ExitReason::DualCertificate);
+
+        let mut m = ModelBuilder::new();
+        let x = m.add_var_with_cost("x", 1.0);
+        let y = m.add_var_with_cost("y", 1.0);
+        m.bound_lower(x, 1e-6);
+        m.bound_lower(y, 1e-6);
+        m.add_hyperbolic(x, y, 9.0);
+        let mut settings = default_settings();
+        settings.max_iterations = 2;
+        let sol = m.build().unwrap().solve(&settings).unwrap();
+        assert_eq!(sol.status(), SolveStatus::MaxIterations);
+        assert_eq!(sol.raw().counters.exit, ExitReason::IterationLimit);
+        assert_eq!(sol.raw().counters.factorizations, 3);
     }
 
     #[test]

@@ -42,13 +42,16 @@ mod cone;
 mod cutting_plane;
 mod error;
 mod ipm;
+mod kkt;
 mod problem;
 mod scaling;
 
 pub use cone::{Cone, ConeBlock};
 pub use cutting_plane::{solve_with_cutting_planes, CuttingPlaneOutcome, CuttingPlaneSettings};
 pub use error::{ConicError, SolveStatus};
-pub use ipm::{solve_cone_problem, IpmSettings, IterationRecord, RawSolution};
+pub use ipm::{
+    solve_cone_problem, ExitReason, IpmSettings, IterationRecord, RawSolution, SolveCounters,
+};
 pub use problem::{ConeProblem, LinExpr, Model, ModelBuilder, SocConstraint, Solution, VarId};
 pub use scaling::NtScaling;
 

@@ -3,7 +3,7 @@
 
 use crate::cone::{Cone, ConeBlock};
 use crate::error::ConicError;
-use bbs_linalg::{DMatrix, DVector};
+use bbs_linalg::{CsrMatrix, DVector};
 use std::fmt;
 
 /// Handle to a decision variable created by a [`ModelBuilder`].
@@ -101,8 +101,8 @@ impl LinExpr {
 pub struct ConeProblem {
     /// Objective vector `c`.
     pub c: DVector,
-    /// Constraint matrix `G`.
-    pub g: DMatrix,
+    /// Constraint matrix `G`, stored by rows.
+    pub g: CsrMatrix,
     /// Right-hand side `h`.
     pub h: DVector,
     /// Cone `K` (row blocks of `G`).
@@ -322,69 +322,51 @@ impl ModelBuilder {
             .collect();
         let m = num_lin + soc_dims.iter().sum::<usize>();
 
-        let mut g = DMatrix::zeros(m, n);
-        let mut h = DVector::zeros(m);
-        let mut row = 0usize;
+        let mut g = CsrMatrix::new(n);
+        let mut h = Vec::with_capacity(m);
 
         // expr ≤ 0  ⇔  expr_terms·x + s = −constant, s ≥ 0.
         for expr in &self.le_rows {
-            for &(v, ccoef) in expr.terms() {
-                g[(row, v.0)] += ccoef;
-            }
-            h[row] = -expr.constant();
-            row += 1;
+            g.push_row(expr.terms().iter().map(|&(v, c)| (v.0, c)));
+            h.push(-expr.constant());
         }
         // Lower bounds: x ≥ l ⇔ −x ≤ −l.
         for (i, bound) in self.lower.iter().enumerate() {
             if let Some(l) = bound {
-                g[(row, i)] = -1.0;
-                h[row] = -l;
-                row += 1;
+                g.push_row([(i, -1.0)]);
+                h.push(-l);
             }
         }
         // Upper bounds: x ≤ u.
         for (i, bound) in self.upper.iter().enumerate() {
             if let Some(u) = bound {
-                g[(row, i)] = 1.0;
-                h[row] = *u;
-                row += 1;
+                g.push_row([(i, 1.0)]);
+                h.push(*u);
             }
         }
         // Hyperbolic constraints as 3-dimensional SOC blocks:
         // s = (x + y, x − y, 2√k) ∈ Q³.
         for &(x, y, k) in &self.hyperbolics {
-            g[(row, x.0)] -= 1.0;
-            g[(row, y.0)] -= 1.0;
-            h[row] = 0.0;
-            g[(row + 1, x.0)] -= 1.0;
-            g[(row + 1, y.0)] += 1.0;
-            h[row + 1] = 0.0;
-            h[row + 2] = 2.0 * k.sqrt();
-            row += 3;
+            g.push_row([(x.0, -1.0), (y.0, -1.0)]);
+            g.push_row([(x.0, -1.0), (y.0, 1.0)]);
+            g.push_row([]);
+            h.extend([0.0, 0.0, 2.0 * k.sqrt()]);
         }
         // General SOC constraints: s = (bound, norm_terms…) ∈ Q^{1+t}.
         for soc in &self.socs {
-            for &(v, ccoef) in soc.bound.terms() {
-                g[(row, v.0)] -= ccoef;
-            }
-            h[row] = soc.bound.constant();
-            row += 1;
-            for term in &soc.norm_terms {
-                for &(v, ccoef) in term.terms() {
-                    g[(row, v.0)] -= ccoef;
-                }
-                h[row] = term.constant();
-                row += 1;
+            for expr in std::iter::once(&soc.bound).chain(&soc.norm_terms) {
+                g.push_row(expr.terms().iter().map(|&(v, c)| (v.0, -c)));
+                h.push(expr.constant());
             }
         }
-        debug_assert_eq!(row, m);
+        debug_assert_eq!(g.nrows(), m);
 
         let mut blocks = vec![ConeBlock::NonNeg(num_lin)];
         blocks.extend(soc_dims.into_iter().map(ConeBlock::Soc));
         let problem = ConeProblem {
             c: DVector::from_vec(self.objective),
             g,
-            h,
+            h: DVector::from_vec(h),
             cone: Cone::new(blocks),
         };
         problem.validate()?;
@@ -535,7 +517,7 @@ mod tests {
     fn validate_catches_nonfinite() {
         let p = ConeProblem {
             c: DVector::from_slice(&[f64::NAN]),
-            g: DMatrix::zeros(1, 1),
+            g: CsrMatrix::zeros(1, 1),
             h: DVector::zeros(1),
             cone: Cone::new(vec![ConeBlock::NonNeg(1)]),
         };
@@ -546,7 +528,7 @@ mod tests {
     fn validate_catches_shape_mismatch() {
         let p = ConeProblem {
             c: DVector::zeros(2),
-            g: DMatrix::zeros(3, 1),
+            g: CsrMatrix::zeros(3, 1),
             h: DVector::zeros(3),
             cone: Cone::new(vec![ConeBlock::NonNeg(3)]),
         };

@@ -133,44 +133,49 @@ impl NtScaling {
         self.apply(z)
     }
 
-    /// The dense matrix `W²`, assembled block by block in closed form:
-    /// `diag(wᵢ²)` for orthant entries and `η·(2 w̄ w̄ᵀ − J)` (the quadratic
+    /// Writes `W²` in its block-diagonal form: `wᵢ²` for each orthant
+    /// entry and the upper triangle of `η·(2 w̄ w̄ᵀ − J)` (the quadratic
     /// representation of the scaling point) for each second-order cone
-    /// block. This is what the interior-point KKT system needs, and building
-    /// it directly avoids an `O(m³)` matrix–matrix product per iteration.
-    pub fn w_squared(&self) -> bbs_linalg::DMatrix {
-        let m = self.cone.dim();
-        let mut out = bbs_linalg::DMatrix::zeros(m, m);
-        for ((off, block), scaling) in self.cone.iter_offsets().zip(self.blocks.iter()) {
+    /// block, blocks in cone order and each block column by column. This
+    /// is all the interior-point KKT system needs of `W²`; no `m × m`
+    /// matrix is ever formed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has the wrong length.
+    pub fn write_w_squared(&self, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            packed_w_squared_len(&self.cone),
+            "w² length mismatch"
+        );
+        let mut k = 0;
+        for ((_, block), scaling) in self.cone.iter_offsets().zip(self.blocks.iter()) {
             match (block, scaling) {
-                (ConeBlock::NonNeg(n), BlockScaling::Orthant { w }) => {
-                    for i in 0..n {
-                        out[(off + i, off + i)] = w[i] * w[i];
+                (ConeBlock::NonNeg(_), BlockScaling::Orthant { w }) => {
+                    for wi in w {
+                        out[k] = wi * wi;
+                        k += 1;
                     }
                 }
                 (ConeBlock::Soc(n), BlockScaling::Soc { eta_sqrt, wbar }) => {
-                    // W = sqrt(η)·W̄ with W̄² = 2w̄w̄ᵀ − J, hence W² = η·(2w̄w̄ᵀ − J)
-                    // where η = (eta_sqrt)².
+                    // W = sqrt(η)·W̄ with W̄² = 2w̄w̄ᵀ − J, hence W² = η·(2w̄w̄ᵀ − J).
                     let eta = eta_sqrt * eta_sqrt;
-                    for i in 0..n {
-                        for j in 0..n {
-                            let jordan = if i == j {
-                                if i == 0 {
-                                    1.0
-                                } else {
-                                    -1.0
-                                }
-                            } else {
-                                0.0
+                    for j in 0..n {
+                        for i in 0..=j {
+                            let jordan = match (i == j, i == 0) {
+                                (true, true) => 1.0,
+                                (true, false) => -1.0,
+                                (false, _) => 0.0,
                             };
-                            out[(off + i, off + j)] = eta * (2.0 * wbar[i] * wbar[j] - jordan);
+                            out[k] = eta * (2.0 * wbar[i] * wbar[j] - jordan);
+                            k += 1;
                         }
                     }
                 }
                 _ => unreachable!("cone/scaling block mismatch"),
             }
         }
-        out
     }
 
     fn apply_impl(&self, v: &DVector, inverse: bool) -> DVector {
@@ -207,6 +212,29 @@ impl NtScaling {
         }
         out
     }
+}
+
+/// Number of entries of the packed block-diagonal `W²` written by
+/// [`NtScaling::write_w_squared`]: one per orthant entry plus the upper
+/// triangle `d(d+1)/2` of each second-order cone block of dimension `d`.
+pub(crate) fn packed_w_squared_len(cone: &Cone) -> usize {
+    packed_w_squared_pattern(cone).count()
+}
+
+/// The `(row, column)` positions (`row ≤ column`, cone coordinates) of the
+/// packed `W²` entries, in the order [`NtScaling::write_w_squared`] writes
+/// them: blocks in cone order, each block column by column.
+pub(crate) fn packed_w_squared_pattern(cone: &Cone) -> impl Iterator<Item = (usize, usize)> + '_ {
+    cone.iter_offsets().flat_map(|(off, block)| {
+        let (n, dense) = match block {
+            ConeBlock::NonNeg(n) => (n, false),
+            ConeBlock::Soc(n) => (n, true),
+        };
+        (0..n).flat_map(move |j| {
+            let first = if dense { 0 } else { j };
+            (first..=j).map(move |i| (off + i, off + j))
+        })
+    })
 }
 
 fn soc_residual(v: &DVector, off: usize, n: usize) -> f64 {
@@ -293,14 +321,23 @@ mod tests {
         let s = DVector::from_slice(&[4.0, 1.0, 3.0, 1.0, 0.5, -0.8]);
         let z = DVector::from_slice(&[1.0, 2.0, 2.0, -0.5, 0.3, 0.4]);
         let w = NtScaling::compute(&cone, &s, &z).unwrap();
-        let w2 = w.w_squared();
+        // Block diagonal: 2 orthant entries plus the 4×4 cone's upper triangle.
+        assert_eq!(packed_w_squared_len(&cone), 2 + 10);
+        let mut packed = vec![0.0; packed_w_squared_len(&cone)];
+        w.write_w_squared(&mut packed);
+        let mut w2 = vec![vec![0.0; cone.dim()]; cone.dim()];
+        for ((i, j), v) in packed_w_squared_pattern(&cone).zip(&packed) {
+            assert!(i <= j, "pattern must be upper triangular");
+            w2[i][j] = *v;
+            w2[j][i] = *v;
+        }
         let mut basis = DVector::zeros(cone.dim());
         for j in 0..cone.dim() {
             basis[j] = 1.0;
             let expected = w.apply(&w.apply(&basis));
             for i in 0..cone.dim() {
                 assert!(
-                    (w2[(i, j)] - expected[i]).abs() < 1e-10,
+                    (w2[i][j] - expected[i]).abs() < 1e-10,
                     "entry ({i}, {j}) mismatch"
                 );
             }

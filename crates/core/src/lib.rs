@@ -64,7 +64,7 @@ pub use explore::{sweep_buffer_capacity, with_capacity_cap, TradeoffPoint};
 pub use options::{SolveOptions, SolverKind};
 pub use report::{mapping_report, MappingReport};
 pub use solution::Mapping;
-pub use solver::{compute_mapping, compute_mapping_view};
+pub use solver::{compute_mapping, compute_mapping_view, SOLVER_REVISION};
 pub use two_phase::{compute_mapping_two_phase, BudgetPolicy, TwoPhaseOutcome};
 
 #[cfg(test)]

@@ -11,6 +11,17 @@ use bbs_conic::{solve_with_cutting_planes, Solution, SolveStatus};
 use bbs_taskgraph::{ConfigView, Configuration};
 use std::collections::BTreeMap;
 
+/// Revision of the numerical solve pipeline: formulation, conic solver and
+/// rounding. Cached and persisted solve results are keyed by it, so bump it
+/// whenever a change can move any bit of a solve's output; stores filled by
+/// another revision then miss and re-solve instead of serving results the
+/// current code would not produce.
+///
+/// * `1` — dense LDLᵀ of the augmented KKT system in natural order (entries
+///   written before the revision was recorded count as this one).
+/// * `2` — sparse quasi-definite LDLᵀ under a minimum-degree ordering.
+pub const SOLVER_REVISION: u64 = 2;
+
 /// Simultaneously computes budgets and buffer capacities that satisfy every
 /// throughput, processor-capacity, memory-capacity and buffer-cap constraint
 /// of the configuration, minimising the weighted sum of budgets and buffer

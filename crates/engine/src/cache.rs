@@ -59,7 +59,7 @@
 use crate::store::SolveStore;
 use bbs_conic::ConicError;
 use bbs_taskgraph::{fnv1a, CanonicalDigest, CanonicalHasher, ConfigView, Configuration};
-use budget_buffer::{Mapping, MappingError, SolveOptions};
+use budget_buffer::{Mapping, MappingError, SolveOptions, SOLVER_REVISION};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ pub fn options_serialisation_count() -> u64 {
 pub(crate) static COUNTER_TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// The hot-path identity of one solve: a 128-bit streaming digest of
-/// `options ‖ flow ‖ configuration` canonical JSON.
+/// `solver revision ‖ options ‖ flow ‖ configuration` canonical JSON.
 ///
 /// `Copy`, 16 bytes, and built without a single heap allocation — see the
 /// [module docs](self) for how it relates to the materialised
@@ -130,9 +130,10 @@ impl CacheKey {
 /// every point of the scenario.
 #[derive(Debug)]
 pub struct ScenarioKeySeed {
-    /// Digest state after folding `options ‖ 0x00 ‖ flow ‖ 0x00` (the
-    /// options as their canonical JSON byte stream; the NUL separators keep
-    /// the concatenation unambiguous).
+    /// Digest state after folding `revision ‖ options ‖ 0x00 ‖ flow ‖ 0x00`
+    /// (the [`SOLVER_REVISION`] as 8 little-endian bytes, the options as
+    /// their canonical JSON byte stream; the NUL separators keep the
+    /// concatenation unambiguous).
     state: CanonicalHasher,
     options: SolveOptions,
     options_json: std::sync::OnceLock<Arc<str>>,
@@ -145,6 +146,7 @@ impl ScenarioKeySeed {
     /// options are hashed by streaming, not serialised.
     pub fn new(options: &SolveOptions, flow: &str) -> Self {
         let mut state = CanonicalHasher::new();
+        state.write_u64(SOLVER_REVISION);
         serde::Serialize::serialize_canonical(options, &mut state);
         state.write(&[0]);
         state.write(flow.as_bytes());
@@ -211,6 +213,9 @@ pub struct CanonicalKey {
     pub options: String,
     /// Flow name (`joint`, `two-phase-min`, `two-phase-fair`).
     pub flow: String,
+    /// The [`SOLVER_REVISION`] the result is (to be) computed by. Store
+    /// entries of another revision are misses, never answers.
+    pub solver_revision: u64,
 }
 
 impl CanonicalKey {
@@ -234,6 +239,7 @@ impl CanonicalKey {
             configuration: json,
             options: options_json.to_string(),
             flow: flow.to_string(),
+            solver_revision: SOLVER_REVISION,
         }
     }
 

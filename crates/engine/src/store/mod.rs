@@ -226,6 +226,9 @@ struct StoredEntry {
     configuration: String,
     options: String,
     flow: String,
+    /// The solver revision that computed the result; absent in entries
+    /// written before revisions were recorded (revision 1).
+    solver_revision: Option<u64>,
     feasible: Option<StoredMapping>,
     infeasible: Option<StoredInfeasibility>,
 }
@@ -512,6 +515,11 @@ impl SolveStore {
             || entry.flow != key.flow
         {
             return self.reject();
+        }
+        // Another solver revision computed this result: not corrupt, just
+        // stale. A plain miss, so the fresh solve overwrites it in place.
+        if entry.solver_revision.unwrap_or(1) != key.solver_revision {
+            return None;
         }
         match (entry.feasible, entry.infeasible) {
             (Some(mapping), None) => match decode_mapping(&mapping, configuration) {
@@ -842,6 +850,7 @@ fn encode_entry(key: &CanonicalKey, result: &Result<Mapping, MappingError>) -> O
         configuration: key.configuration.clone(),
         options: key.options.clone(),
         flow: key.flow.clone(),
+        solver_revision: Some(key.solver_revision),
         feasible: outcome.0,
         infeasible: outcome.1,
     };
@@ -1082,6 +1091,41 @@ mod tests {
         assert_eq!(store.stats().disk_hits, 1);
         assert_eq!(store.stats().stored, 1);
         assert!(!store.stats().remote_enabled);
+    }
+
+    #[test]
+    fn entries_of_another_solver_revision_miss_and_are_resolved() {
+        let directory = TempDir::new("revision");
+        let store = SolveStore::open(directory.path()).unwrap();
+        let (configuration, key, result) = solved();
+        assert_eq!(key.solver_revision, budget_buffer::SOLVER_REVISION);
+        store.save(&key, &result);
+        let path = v2_path(directory.path(), &key);
+        let mut entry: StoredEntry = serde_json::from_str(&read_v2(&path)).unwrap();
+        assert_eq!(entry.solver_revision, Some(key.solver_revision));
+        // Written by an older or a newer solver, or by a build that
+        // predates the field: each is a miss (a fresh solve), not a
+        // rejection, and never an answer.
+        for stale in [
+            Some(key.solver_revision - 1),
+            Some(key.solver_revision + 1),
+            None,
+        ] {
+            entry.solver_revision = stale;
+            write_v2(&path, &serde_json::to_string(&entry).unwrap());
+            assert!(
+                store.load(&key, &configuration).is_none(),
+                "{stale:?} must miss"
+            );
+        }
+        assert_eq!(store.stats().fresh_solves, 3);
+        assert_eq!(store.stats().rejected, 0);
+        // The re-solve overwrites the stale entry at the same address and is
+        // served from then on.
+        store.save(&key, &result);
+        let loaded = store.load(&key, &configuration).expect("re-solved entry");
+        assert_eq!(loaded.unwrap(), result.unwrap());
+        assert_eq!(store.summary().unwrap().entries, 1);
     }
 
     #[test]

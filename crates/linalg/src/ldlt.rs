@@ -3,7 +3,9 @@
 //!
 //! The interior-point KKT systems solved in `bbs-conic` are symmetric
 //! quasi-definite after regularisation, which is exactly the class for which
-//! an unpivoted LDLᵀ factorisation is numerically acceptable.
+//! an unpivoted LDLᵀ factorisation is numerically acceptable. The solver
+//! factors them with the sparse [`SparseLdlt`](crate::SparseLdlt); this dense
+//! version is the simple reference its tests compare against.
 
 use crate::{DMatrix, DVector};
 use std::error::Error;

@@ -1,11 +1,15 @@
-//! Small, dependency-free dense linear algebra kernels.
+//! Small, dependency-free linear algebra kernels.
 //!
-//! The conic interior-point solver in `bbs-conic` needs a handful of dense
-//! operations on small matrices (tens to a few hundreds of rows): vector
-//! arithmetic, matrix products, symmetric rank updates, and Cholesky / LDLᵀ
-//! factorisations with solves. This crate provides exactly those kernels with
-//! a deliberately small and well-tested surface instead of pulling in a large
-//! external linear-algebra dependency.
+//! The conic interior-point solver in `bbs-conic` needs vector arithmetic, a
+//! sparse constraint matrix ([`CsrMatrix`]) and, every iteration, the
+//! solution of a sparse symmetric quasi-definite KKT system. [`SparseLdlt`]
+//! factors those systems: the fill-reducing [`minimum_degree_order`], the
+//! elimination tree and the pattern of `L` are computed once per sparsity
+//! pattern, and each factorisation after that is numeric only. The dense
+//! [`DMatrix`], [`Cholesky`] and [`Ldlt`] kernels remain as small, simple
+//! references that the sparse code is tested against. This crate provides
+//! exactly those kernels with a deliberately small and well-tested surface
+//! instead of pulling in a large external linear-algebra dependency.
 //!
 //! # Example
 //!
@@ -30,12 +34,16 @@
 mod cholesky;
 mod ldlt;
 mod matrix;
+mod sparse;
 mod triangular;
 mod vector;
 
 pub use cholesky::{Cholesky, CholeskyError};
 pub use ldlt::{Ldlt, LdltError};
 pub use matrix::DMatrix;
+pub use sparse::{
+    minimum_degree_order, symmetric_upper_matvec, CsrMatrix, PivotRegularisation, SparseLdlt,
+};
 pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};
 pub use vector::DVector;
 
