@@ -26,7 +26,7 @@
 
 use crate::problem::ConeProblem;
 use crate::scaling::{packed_w_squared_pattern, NtScaling};
-use bbs_linalg::{symmetric_upper_matvec, PivotRegularisation, SparseLdlt};
+use bbs_linalg::{symmetric_upper_matvec, SparseLdlt};
 
 /// Steps of iterative refinement per solve.
 const REFINEMENT_STEPS: usize = 3;
@@ -129,15 +129,8 @@ impl KktSystem {
         for (&(slot, diagonal), &w2) in self.w_slots.iter().zip(&self.w_packed) {
             self.values[slot] = if diagonal { -w2 - self.delta } else { -w2 };
         }
-        let regularisation = PivotRegularisation {
-            signs: &self.signs,
-            eps: bbs_linalg::tol::PIVOT_EPS,
-            delta: self.delta.max(bbs_linalg::tol::PIVOT_EPS),
-        };
-        let bumps = self
-            .ldl
-            .factor(&self.values, Some(regularisation))
-            .expect("dynamically regularised factorisation cannot fail");
+        let delta = self.delta.max(bbs_linalg::tol::PIVOT_EPS);
+        let bumps = self.ldl.factor(&self.values, &self.signs, delta);
         self.factorizations += 1;
         self.pivot_bumps += bumps;
     }

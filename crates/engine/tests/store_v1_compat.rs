@@ -2,6 +2,12 @@
 //! tree written by the v1 (plain JSON) format must keep serving warm
 //! replays through the v2 code path with zero fresh solves, and
 //! `recompress` must migrate it in place without changing any report.
+//!
+//! Two fixture trees hold the smoke suite's eight entries in the v1
+//! container. `v1_store` was written by the current solver revision.
+//! `v1_store_rev1` is a store exactly as the dense-KKT builds left it
+//! (solver revision 1, recorded by the absence of `solver_revision`): an
+//! upgrade must re-solve its entries, never serve them.
 
 use bbs_engine::suites::smoke_suite;
 use bbs_engine::{run_suite_with_cache, RunSettings, SolveCache, SolveStore, SuiteReport};
@@ -50,6 +56,10 @@ fn copy_tree(from: &Path, to: &Path) {
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_store")
+}
+
+fn revision_1_fixture_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_store_rev1")
 }
 
 #[test]
@@ -131,4 +141,48 @@ fn a_v1_entry_is_superseded_by_its_v2_rewrite() {
     assert_eq!(summary.v1_entries, 7);
     assert_eq!(summary.v2_entries, 1);
     assert_eq!(summary.corrupt, 0);
+}
+
+#[test]
+fn a_store_from_an_older_solver_revision_is_re_solved_and_superseded() {
+    let directory = TempDir::new("revision-1");
+    copy_tree(&revision_1_fixture_root(), directory.path());
+    let settings = RunSettings::default();
+    let suite = smoke_suite();
+    let store = SolveStore::open_existing(directory.path()).unwrap();
+    let before = store.summary().unwrap();
+    assert_eq!((before.entries, before.v1_entries), (8, 8));
+
+    // Every entry is stale: a plain miss, re-solved, never a rejection.
+    let cache = SolveCache::with_store(store);
+    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    let stats = cache.store().unwrap().stats();
+    assert_eq!(
+        stats.fresh_solves, 8,
+        "revision-1 entries must not be served"
+    );
+    assert_eq!(stats.disk_hits, 0);
+    assert_eq!(stats.rejected, 0);
+    assert_eq!(stats.stored, 8);
+    let upgraded = SuiteReport::from_outcome(&outcome).to_json();
+
+    // The re-solves superseded every v1 file with a v2 entry.
+    let after = SolveStore::open_existing(directory.path())
+        .unwrap()
+        .summary()
+        .unwrap();
+    assert_eq!(after.entries, 8);
+    assert_eq!(after.v1_entries, 0);
+    assert_eq!(after.v2_entries, 8);
+    assert_eq!(after.corrupt, 0);
+
+    // The upgraded report is the cold one, byte for byte, and the store is
+    // warm from then on.
+    let reference = run_suite_with_cache(&suite, &settings, &SolveCache::new()).unwrap();
+    assert_eq!(SuiteReport::from_outcome(&reference).to_json(), upgraded);
+    let cache = SolveCache::with_store(SolveStore::open_existing(directory.path()).unwrap());
+    let outcome = run_suite_with_cache(&suite, &settings, &cache).unwrap();
+    let stats = cache.store().unwrap().stats();
+    assert_eq!((stats.fresh_solves, stats.disk_hits), (0, 8));
+    assert_eq!(SuiteReport::from_outcome(&outcome).to_json(), upgraded);
 }

@@ -6,24 +6,26 @@
 //! factors those systems: the fill-reducing [`minimum_degree_order`], the
 //! elimination tree and the pattern of `L` are computed once per sparsity
 //! pattern, and each factorisation after that is numeric only. The dense
-//! [`DMatrix`], [`Cholesky`] and [`Ldlt`] kernels remain as small, simple
-//! references that the sparse code is tested against. This crate provides
-//! exactly those kernels with a deliberately small and well-tested surface
-//! instead of pulling in a large external linear-algebra dependency.
+//! [`Ldlt`] on a [`DMatrix`] is the reference the sparse factorisation is
+//! tested against. The dense [`Cholesky`] and the triangular solves it uses
+//! have no caller in the solver any more; they remain only with their own
+//! tests. This crate provides exactly those kernels with a deliberately
+//! small and well-tested surface instead of pulling in a large external
+//! linear-algebra dependency.
 //!
 //! # Example
 //!
 //! ```
-//! use bbs_linalg::{DMatrix, DVector, Cholesky};
+//! use bbs_linalg::{DMatrix, DVector, Ldlt};
 //!
-//! // Solve the SPD system A x = b.
+//! // Solve the symmetric indefinite system A x = b.
 //! let a = DMatrix::from_rows(&[
 //!     &[4.0, 1.0],
-//!     &[1.0, 3.0],
+//!     &[1.0, -3.0],
 //! ]);
 //! let b = DVector::from_slice(&[1.0, 2.0]);
-//! let chol = Cholesky::factor(&a).expect("matrix is SPD");
-//! let x = chol.solve(&b);
+//! let ldlt = Ldlt::factor(&a).expect("matrix is nonsingular");
+//! let x = ldlt.solve(&b);
 //! let r = &a.matvec(&x) - &b;
 //! assert!(r.norm_inf() < 1e-12);
 //! ```
@@ -41,16 +43,15 @@ mod vector;
 pub use cholesky::{Cholesky, CholeskyError};
 pub use ldlt::{Ldlt, LdltError};
 pub use matrix::DMatrix;
-pub use sparse::{
-    minimum_degree_order, symmetric_upper_matvec, CsrMatrix, PivotRegularisation, SparseLdlt,
-};
+pub use sparse::{minimum_degree_order, symmetric_upper_matvec, CsrMatrix, SparseLdlt};
 pub use triangular::{solve_lower, solve_lower_transpose, solve_upper};
 pub use vector::DVector;
 
 /// Numerical tolerance helpers shared by the factorisations and their tests.
 pub mod tol {
-    /// Default pivot threshold below which a factorisation reports a
-    /// non-positive-definite / singular matrix.
+    /// Pivot magnitude at or below which the dense factorisations report a
+    /// singular (or, for Cholesky, non-positive-definite) matrix and
+    /// [`SparseLdlt::factor`](crate::SparseLdlt::factor) replaces the pivot.
     pub const PIVOT_EPS: f64 = 1e-13;
 
     /// Returns `true` when two floating point numbers agree to within an
@@ -72,10 +73,9 @@ mod tests {
 
     #[test]
     fn crate_level_example_roundtrip() {
-        let a = DMatrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
+        let a = DMatrix::from_rows(&[&[4.0, 1.0], &[1.0, -3.0]]);
         let b = DVector::from_slice(&[1.0, 2.0]);
-        let chol = Cholesky::factor(&a).unwrap();
-        let x = chol.solve(&b);
+        let x = Ldlt::factor(&a).unwrap().solve(&b);
         let r = &a.matvec(&x) - &b;
         assert!(r.norm_inf() < 1e-12);
     }

@@ -13,7 +13,7 @@
 //! symmetric permutation (Vanderbei 1995), so the ordering is chosen for
 //! sparsity alone.
 
-use crate::{DMatrix, DVector, LdltError};
+use crate::{DMatrix, DVector};
 use std::collections::BTreeSet;
 
 /// Marker for "no parent" in the elimination tree.
@@ -174,25 +174,6 @@ impl CsrMatrix {
     }
 }
 
-/// Dynamic pivot regularisation for [`SparseLdlt::factor`]: a pivot `d`
-/// of row `i` with `|d| ≤ eps` is replaced by `signs[i]·delta`, the sign
-/// its block requires, instead of failing.
-///
-/// Only the magnitude is tested. Where rounding has wiped out a pivot, its
-/// computed value is noise of either sign; forcing such a pivot to a tiny
-/// `±delta` would amplify that noise through `1/d`, while accepting it
-/// leaves the error to the caller's iterative refinement.
-#[derive(Debug, Clone, Copy)]
-pub struct PivotRegularisation<'a> {
-    /// Required pivot sign per row of the *input* matrix: `+1` for the
-    /// positive definite block, `−1` for the negative definite one.
-    pub signs: &'a [f64],
-    /// Pivot magnitude at or below which a pivot is replaced.
-    pub eps: f64,
-    /// Magnitude of a replaced pivot.
-    pub delta: f64,
-}
-
 /// A fill-reducing symmetric ordering: plain minimum degree on the
 /// elimination graph, ties broken by the smaller index.
 ///
@@ -256,7 +237,8 @@ pub fn minimum_degree_order(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> V
 /// let row_idx = [0, 0, 1, 1, 2];
 /// let values = [4.0, 1.0, -3.0, 2.0, -5.0];
 /// let mut ldl = SparseLdlt::analyse(3, &col_ptr, &row_idx);
-/// ldl.factor(&values, None).unwrap();
+/// // One positive pivot, two negative ones; no pivot needs replacing.
+/// assert_eq!(ldl.factor(&values, &[1.0, -1.0, -1.0], 1e-9), 0);
 /// let x = ldl.solve(&DVector::from_slice(&[5.0, 0.0, -3.0]));
 /// // A x = b with x = (1, 1, 1).
 /// for v in x.iter() {
@@ -416,28 +398,34 @@ impl SparseLdlt {
 
     /// Numeric factorisation of the analysed pattern with new `values`
     /// (one per entry of the pattern given to [`analyse`], same order).
-    /// Returns the number of pivots replaced by `regularisation`.
+    ///
+    /// Pivots are regularised dynamically: a pivot of input row `i` with
+    /// `|d| ≤` [`PIVOT_EPS`] is replaced by `signs[i] · delta`, where
+    /// `signs[i]` is `+1` for a row of the positive definite block and `−1`
+    /// for one of the negative definite block. Returns the number of
+    /// replaced pivots.
+    ///
+    /// Only the magnitude is tested. Where rounding has wiped out a pivot,
+    /// its computed value is noise of either sign; forcing such a pivot to
+    /// a tiny `±delta` would amplify that noise through `1/d`, while
+    /// accepting it leaves the error to the caller's iterative refinement.
     ///
     /// [`analyse`]: SparseLdlt::analyse
-    ///
-    /// # Errors
-    ///
-    /// Without `regularisation`, returns [`LdltError::SingularPivot`]
-    /// (naming the original row) when a pivot magnitude drops below
-    /// [`crate::tol::PIVOT_EPS`].
+    /// [`PIVOT_EPS`]: crate::tol::PIVOT_EPS
     ///
     /// # Panics
     ///
-    /// Panics if `values` does not match the analysed pattern.
-    pub fn factor(
-        &mut self,
-        values: &[f64],
-        regularisation: Option<PivotRegularisation<'_>>,
-    ) -> Result<usize, LdltError> {
+    /// Panics if `values` or `signs` does not match the analysed pattern.
+    pub fn factor(&mut self, values: &[f64], signs: &[f64], delta: f64) -> usize {
         assert_eq!(
             values.len(),
             self.slot_of_entry.len(),
             "sparse ldlt: value count does not match the pattern"
+        );
+        assert_eq!(
+            signs.len(),
+            self.dim(),
+            "sparse ldlt: one pivot sign per row is required"
         );
         let n = self.dim();
         self.ax.fill(0.0);
@@ -492,21 +480,13 @@ impl SparseLdlt {
                 self.y_vals[col] = 0.0;
                 self.y_used[col] = false;
             }
-            match regularisation {
-                Some(reg) if self.d[k].abs() <= reg.eps => {
-                    self.d[k] = reg.signs[self.perm[k]] * reg.delta;
-                    bumps += 1;
-                }
-                None if self.d[k].abs() <= crate::tol::PIVOT_EPS => {
-                    return Err(LdltError::SingularPivot {
-                        column: self.perm[k],
-                    });
-                }
-                _ => {}
+            if self.d[k].abs() <= crate::tol::PIVOT_EPS {
+                self.d[k] = signs[self.perm[k]] * delta;
+                bumps += 1;
             }
             self.dinv[k] = 1.0 / self.d[k];
         }
-        Ok(bumps)
+        bumps
     }
 
     /// Solves `A x = b` in place with the current numeric factorisation.
@@ -602,6 +582,12 @@ mod tests {
             col_ptr.push(row_idx.len());
         }
         (col_ptr, row_idx, values)
+    }
+
+    /// Pivot signs of [`kkt_like`]: `+1` for the `n` primal rows, `−1` for
+    /// the `m` cone rows.
+    fn kkt_signs(n: usize, m: usize) -> Vec<f64> {
+        (0..n + m).map(|i| if i < n { 1.0 } else { -1.0 }).collect()
     }
 
     /// A random sparse quasi-definite KKT-shaped matrix
@@ -720,7 +706,8 @@ mod tests {
         let first = kkt_like(8, 10, 3, 21);
         let (col_ptr, row_idx, values) = upper_csc(&first);
         let mut ldl = SparseLdlt::analyse(first.nrows(), &col_ptr, &row_idx);
-        ldl.factor(&values, None).unwrap();
+        let signs = kkt_signs(8, 10 + 3 * 3);
+        assert_eq!(ldl.factor(&values, &signs, 1e-9), 0);
         let b = DVector::from_vec((0..first.nrows()).map(|i| (i as f64).sin()).collect());
         assert!((&first.matvec(&ldl.solve(&b)) - &b).norm_inf() < 1e-9);
 
@@ -733,7 +720,7 @@ mod tests {
         }
         let (_, _, new_values) = upper_csc(&second);
         let nnz_l = ldl.nnz_l();
-        ldl.factor(&new_values, None).unwrap();
+        assert_eq!(ldl.factor(&new_values, &signs, 1e-9), 0);
         assert_eq!(ldl.nnz_l(), nnz_l);
         let x = ldl.solve(&b);
         assert!((&second.matvec(&x) - &b).norm_inf() < 1e-9);
@@ -744,27 +731,17 @@ mod tests {
     fn repeated_entries_are_summed() {
         // [[2, 1], [1, -1]] with the off-diagonal split into two entries.
         let mut ldl = SparseLdlt::analyse(2, &[0, 1, 4], &[0, 0, 0, 1]);
-        ldl.factor(&[2.0, 0.25, 0.75, -1.0], None).unwrap();
+        assert_eq!(ldl.factor(&[2.0, 0.25, 0.75, -1.0], &[1.0, -1.0], 1e-9), 0);
         let x = ldl.solve(&DVector::from_slice(&[3.0, 0.0]));
         assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn singular_pivot_is_reported_or_regularised() {
+    fn a_vanishing_pivot_is_replaced_by_its_signed_delta() {
         let (col_ptr, row_idx) = ([0, 1, 3], [0, 0, 1]);
         let values = [1.0, 1.0, 1.0]; // [[1, 1], [1, 1]] is singular
         let mut ldl = SparseLdlt::analyse(2, &col_ptr, &row_idx);
-        assert!(matches!(
-            ldl.factor(&values, None),
-            Err(LdltError::SingularPivot { .. })
-        ));
-        let signs = [1.0, -1.0];
-        let reg = PivotRegularisation {
-            signs: &signs,
-            eps: 1e-13,
-            delta: 1e-7,
-        };
-        assert_eq!(ldl.factor(&values, Some(reg)).unwrap(), 1);
+        assert_eq!(ldl.factor(&values, &[1.0, -1.0], 1e-7), 1);
         assert!(ldl.pivots().iter().any(|&d| d == -1e-7 || d == 1e-7));
     }
 
@@ -802,7 +779,8 @@ mod tests {
             let a = kkt_like(n, orthant, cones, seed);
             let (col_ptr, row_idx, values) = upper_csc(&a);
             let mut sparse = SparseLdlt::analyse(a.nrows(), &col_ptr, &row_idx);
-            prop_assert_eq!(sparse.factor(&values, None).unwrap(), 0);
+            let signs = kkt_signs(n, orthant + 3 * cones);
+            prop_assert_eq!(sparse.factor(&values, &signs, 1e-9), 0);
             let dense = Ldlt::factor(&a).unwrap();
             let b = DVector::from_vec(
                 (0..a.nrows()).map(|i| ((i as f64) * 0.37 + seed as f64).cos()).collect(),
